@@ -4,7 +4,10 @@
 //!
 //! * `--snapshot FILE` — decode one persistent cache snapshot and audit
 //!   every cached entry against its key (fingerprints, supply levels, ENC
-//!   budgets, block digests, context consistency).
+//!   budgets, block digests, context consistency, schedule memo keys).
+//!   Also prints where the snapshot's bytes go: entries and payload bytes
+//!   per section, and how many points and supply-search outcomes were
+//!   written by reference.
 //! * `--snapshot-dir DIR` — audit every `*.impactcache` file in a
 //!   directory (the layout `sweep_bench --snapshot-dir` produces). Fails
 //!   when the directory holds no snapshots at all, so a misconfigured CI
@@ -18,8 +21,10 @@
 //! [--snapshot-dir DIR]`
 
 use impact_bench::{fail_if, prepare, quick_laxities, BenchCli, DEFAULT_EFFORT, DEFAULT_PASSES};
-use impact_core::verify::{audit_session, audit_snapshot_bytes};
-use impact_core::{EngineConfig, Evaluator, Impact, SweepSession, SynthesisConfig, VerifyLevel};
+use impact_core::verify::{audit_session, audit_snapshot_bytes, audit_snapshot_bytes_with_layout};
+use impact_core::{
+    EngineConfig, Evaluator, Impact, SnapshotLayout, SweepSession, SynthesisConfig, VerifyLevel,
+};
 use impact_verify::Violation;
 
 /// Prints every violation of one audited artifact and folds it into the
@@ -31,17 +36,48 @@ fn report(label: &str, violations: &[Violation], total: &mut usize) {
     *total += violations.len();
 }
 
+/// Prints where a snapshot's bytes go: entries and payload bytes per
+/// section, and how many entries were written by reference.
+fn print_layout(label: &str, layout: &SnapshotLayout) {
+    for section in &layout.sections {
+        println!(
+            "{label}:   {:<10} {:>8} entries {:>12} bytes ({:>5.1} %)",
+            section.name,
+            section.entries,
+            section.payload_bytes,
+            100.0 * section.payload_bytes as f64 / layout.total_bytes.max(1) as f64
+        );
+    }
+    let entries = |name: &str| {
+        layout
+            .sections
+            .iter()
+            .find(|section| section.name == name)
+            .map_or(0, |section| section.entries)
+    };
+    println!(
+        "{label}:   by reference: {}/{} points' schedules, {}/{} supply-search outcomes' points",
+        layout.points_by_reference,
+        entries("points"),
+        layout.scaled_by_reference,
+        entries("scaled")
+    );
+}
+
 /// Audits one snapshot file as bytes.
 fn audit_file(path: &std::path::Path, total: &mut usize) {
     let label = path.display().to_string();
     match std::fs::read(path) {
         Ok(bytes) => {
-            let violations = audit_snapshot_bytes(&bytes);
+            let (layout, violations) = audit_snapshot_bytes_with_layout(&bytes);
             println!(
                 "{label}: {} bytes, {} violation(s)",
                 bytes.len(),
                 violations.len()
             );
+            if let Some(layout) = &layout {
+                print_layout(&label, layout);
+            }
             report(&label, &violations, total);
         }
         Err(error) => {

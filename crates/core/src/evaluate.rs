@@ -69,7 +69,10 @@ struct MoveLineage<'a> {
 
 /// A fully evaluated design: architecture, schedule, operating point and the
 /// resulting cost metrics.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Equality compares the evaluation result only: [`Self::schedule_key`] is a
+/// handle into the schedule memo, not part of the result, so it is ignored.
+#[derive(Clone, Debug)]
 pub struct DesignPoint {
     /// The RT-level architecture.
     pub design: RtlDesign,
@@ -77,6 +80,11 @@ pub struct DesignPoint {
     /// schedules are handed out by pointer, so cloning a point (or serving a
     /// schedule-memo hit) never deep-copies the STG.
     pub schedule: Arc<SchedulingResult>,
+    /// The key the schedule is memoized under in the session's schedule
+    /// layer (`None` when the point was evaluated without schedule
+    /// memoization). Snapshots use it to write the schedule once, in the
+    /// schedule section, and reference it from the point.
+    pub schedule_key: Option<ScheduleKey>,
     /// Selected supply voltage in volts.
     pub vdd: f64,
     /// Power at the selected supply voltage.
@@ -85,6 +93,17 @@ pub struct DesignPoint {
     pub power_at_reference: PowerBreakdown,
     /// Total area in equivalent gates.
     pub area: f64,
+}
+
+impl PartialEq for DesignPoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.design == other.design
+            && self.schedule == other.schedule
+            && self.vdd == other.vdd
+            && self.power == other.power
+            && self.power_at_reference == other.power_at_reference
+            && self.area == other.area
+    }
 }
 
 impl DesignPoint {
@@ -103,31 +122,75 @@ impl DesignPoint {
 }
 
 /// Version tag of [`DesignPoint`]'s snapshot wire layout.
-const TAG_DESIGN_POINT: u8 = 0x42;
+const TAG_DESIGN_POINT: u8 = 0x43;
+/// The point's schedule follows inline.
+const SCHEDULE_INLINE: u8 = 0;
+/// The point's schedule is the schedule-layer entry under its
+/// [`DesignPoint::schedule_key`]; no schedule bytes follow.
+const SCHEDULE_REFERENCED: u8 = 1;
 
-impl impact_codec::Encode for DesignPoint {
-    fn encode(&self, w: &mut impact_codec::Encoder) {
+impl DesignPoint {
+    /// Writes the point. With `schedule_by_reference` only the schedule key
+    /// is written and the reader must resolve it; the caller guarantees the
+    /// key is set and resolvable on the reading side.
+    pub(crate) fn encode_with(&self, w: &mut impact_codec::Encoder, schedule_by_reference: bool) {
+        use impact_codec::Encode;
+        debug_assert!(!schedule_by_reference || self.schedule_key.is_some());
         w.put_tag(TAG_DESIGN_POINT);
         self.design.encode(w);
-        self.schedule.encode(w);
+        self.schedule_key.encode(w);
+        if schedule_by_reference {
+            w.put_u8(SCHEDULE_REFERENCED);
+        } else {
+            w.put_u8(SCHEDULE_INLINE);
+            self.schedule.encode(w);
+        }
         w.put_f64(self.vdd);
         self.power.encode(w);
         self.power_at_reference.encode(w);
         w.put_f64(self.area);
     }
+
+    /// Reads a point, resolving a referenced schedule through `schedule`.
+    /// A reference without a key, or one `schedule` cannot resolve, is
+    /// [`impact_codec::DecodeError::Invalid`].
+    pub(crate) fn decode_with(
+        r: &mut impact_codec::Decoder<'_>,
+        schedule: impl FnOnce(&ScheduleKey) -> Option<Arc<SchedulingResult>>,
+    ) -> Result<Self, impact_codec::DecodeError> {
+        use impact_codec::{Decode, DecodeError};
+        r.expect_tag(TAG_DESIGN_POINT)?;
+        let design = Decode::decode(r)?;
+        let schedule_key: Option<ScheduleKey> = Decode::decode(r)?;
+        let schedule = match r.take_u8()? {
+            SCHEDULE_INLINE => Decode::decode(r)?,
+            SCHEDULE_REFERENCED => schedule_key
+                .as_ref()
+                .and_then(schedule)
+                .ok_or(DecodeError::Invalid("dangling schedule reference"))?,
+            _ => return Err(DecodeError::Invalid("unknown schedule form")),
+        };
+        Ok(Self {
+            design,
+            schedule,
+            schedule_key,
+            vdd: r.take_f64()?,
+            power: Decode::decode(r)?,
+            power_at_reference: Decode::decode(r)?,
+            area: r.take_f64()?,
+        })
+    }
+}
+
+impl impact_codec::Encode for DesignPoint {
+    fn encode(&self, w: &mut impact_codec::Encoder) {
+        self.encode_with(w, false);
+    }
 }
 
 impl impact_codec::Decode for DesignPoint {
     fn decode(r: &mut impact_codec::Decoder<'_>) -> Result<Self, impact_codec::DecodeError> {
-        r.expect_tag(TAG_DESIGN_POINT)?;
-        Ok(Self {
-            design: impact_codec::Decode::decode(r)?,
-            schedule: impact_codec::Decode::decode(r)?,
-            vdd: r.take_f64()?,
-            power: impact_codec::Decode::decode(r)?,
-            power_at_reference: impact_codec::Decode::decode(r)?,
-            area: r.take_f64()?,
-        })
+        Self::decode_with(r, |_| None)
     }
 }
 
@@ -561,14 +624,15 @@ impl<'a> Evaluator<'a> {
             return Ok(cached);
         }
         let context = self.context_for(design, fingerprint, lineage);
-        let schedule = self.schedule_with_context(&context, vdd, lineage)?;
+        let (schedule, schedule_key) = self.schedule_with_context(&context, vdd, lineage)?;
         // The full point (power at both supplies, area, design clone) is
         // built even when this evaluator's budget will reject it: a budget
         // check here would make the entry depend on the laxity factor and
         // kill cross-laxity sharing. The extra arithmetic is small next to
         // the scheduling pass above, and a run at a looser budget gets the
         // finished point for free.
-        let point = Arc::new(self.point_from_schedule(&context, design, vdd, schedule));
+        let point =
+            Arc::new(self.point_from_schedule(&context, design, vdd, schedule, schedule_key));
         #[cfg(feature = "verify")]
         self.audit_point(&context, design, Some(fingerprint), &point)?;
         backend.store_point(key, point.clone());
@@ -719,11 +783,11 @@ impl<'a> Evaluator<'a> {
         design: &RtlDesign,
         vdd: f64,
     ) -> Result<Option<DesignPoint>, SynthesisError> {
-        let schedule = self.schedule_with_context(context, vdd, None)?;
+        let (schedule, schedule_key) = self.schedule_with_context(context, vdd, None)?;
         if schedule.enc > self.enc_limit + ENC_EPS {
             return Ok(None);
         }
-        let point = self.point_from_schedule(context, design, vdd, schedule);
+        let point = self.point_from_schedule(context, design, vdd, schedule, schedule_key);
         #[cfg(feature = "verify")]
         self.audit_point(context, design, None, &point)?;
         Ok(Some(point))
@@ -731,13 +795,15 @@ impl<'a> Evaluator<'a> {
 
     /// Derives the full design point from a schedule: power at the probed and
     /// the reference supply plus area, all from the context's
-    /// supply-independent profile.
+    /// supply-independent profile. `schedule_key` is the memo key the
+    /// schedule is stored under, if any.
     fn point_from_schedule(
         &self,
         context: &DesignContext,
         design: &RtlDesign,
         vdd: f64,
         schedule: Arc<SchedulingResult>,
+        schedule_key: Option<ScheduleKey>,
     ) -> DesignPoint {
         let estimator = PowerEstimator::new(&self.library, self.config.power.clone().at_vdd(vdd));
         let power = estimator.estimate_profiled(&context.profile, &schedule);
@@ -754,6 +820,7 @@ impl<'a> Evaluator<'a> {
         DesignPoint {
             design: design.clone(),
             schedule,
+            schedule_key,
             vdd,
             power,
             power_at_reference,
@@ -1177,19 +1244,22 @@ impl<'a> Evaluator<'a> {
     /// full reschedule
     /// ([`EngineConfig::full_reschedule`](crate::EngineConfig) keeps that
     /// oracle selectable).
+    ///
+    /// Returns the schedule together with the memo key it is stored under
+    /// (`None` without a session or with memoization off).
     fn schedule_with_context(
         &self,
         context: &DesignContext,
         vdd: f64,
         lineage: Option<&MoveLineage<'_>>,
-    ) -> Result<Arc<SchedulingResult>, SynthesisError> {
+    ) -> Result<(Arc<SchedulingResult>, Option<ScheduleKey>), SynthesisError> {
         let factor = self.library.vdd().delay_factor(vdd);
         let engine = &self.config.engine;
         let Some(backend) = self.backend() else {
             let problem = self.problem_for(context, factor);
             return WaveScheduler::new()
                 .schedule(&problem)
-                .map(Arc::new)
+                .map(|result| (Arc::new(result), None))
                 .map_err(SynthesisError::from);
         };
         // The memo key is digested straight from the context (streamed), so
@@ -1207,7 +1277,7 @@ impl<'a> Evaluator<'a> {
         });
         if let Some(key) = &memo_key {
             if let Some(cached) = backend.lookup_schedule(key) {
-                return Ok(cached);
+                return Ok((cached, memo_key));
             }
         }
         let problem = self.problem_for(context, factor);
@@ -1268,7 +1338,7 @@ impl<'a> Evaluator<'a> {
         if let Some(key) = memo_key {
             backend.store_schedule(key, result.clone());
         }
-        Ok(result)
+        Ok((result, memo_key))
     }
 
     /// Schedules a design at the given supply voltage with the Wavesched

@@ -67,8 +67,9 @@ pub use fingerprint::{
 pub use moves::Move;
 pub use session::SweepSession;
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, write_snapshot_bytes, DiskCache, SnapshotError,
-    SnapshotRejection, SnapshotScope, SnapshotStats, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, decode_snapshot_with_layout, encode_snapshot, write_snapshot_bytes,
+    SectionLayout, SnapshotError, SnapshotLayout, SnapshotRejection, SnapshotScope, SnapshotStats,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 // The shared digest primitives live in `impact_cdfg::fingerprint`; re-export
 // them so engine users need only this crate.

@@ -1,10 +1,10 @@
 //! Persistent cache snapshots: a compact, self-describing binary format for
-//! [`CacheSnapshot`] plus a disk-backed [`CacheBackend`].
+//! [`CacheSnapshot`].
 //!
 //! The wire format is deliberately paranoid. A snapshot written by a previous
 //! process is *advice*, never truth: any stale, truncated or corrupt file
 //! must degrade to a cache miss — an honest cold start — and can never be
-//! misread into a wrong hit. The layout:
+//! misread into a wrong hit. The layout (format version 2):
 //!
 //! ```text
 //! magic  b"IMPCACHE"                     8 bytes
@@ -16,22 +16,50 @@
 //! section count (u32, = 8)               4 bytes
 //! 8 × section:
 //!   tag (u8) | payload length (u64) | payload digest (u128) | payload
-//! whole-file digest (u128)              16 bytes   over everything above
+//! skeleton digest (u128)                16 bytes   over the header and every
+//!                                                  section's tag, length and
+//!                                                  digest — not the payloads
 //! ```
 //!
-//! Each section holds one cache layer's entries as length-prefixed
-//! `(key, value)` pairs sorted by key, so equal cache contents always
-//! serialize to identical bytes (the property the warm-start benches assert
-//! across processes). Rejections are classified three ways — wrong
-//! magic/version/shape ([`SnapshotRejection::Version`]), any digest mismatch
-//! including wrong-workload scope ([`SnapshotRejection::Digest`]), and inputs
-//! that end early ([`SnapshotRejection::Truncated`]) — and surface in
-//! [`SnapshotStats`]. Because the whole-file digest covers every preceding
-//! byte, any single bit flip anywhere in a snapshot is detected.
+//! Sections come in dependency order: hierarchical schedules, design points,
+//! supply-search outcomes, then contexts, block schedules and the three
+//! trace-statistics layers. Each section holds one cache layer's entries as
+//! a count followed by `(key, value)` pairs sorted by key, so equal cache
+//! contents always serialize to identical bytes (the property the
+//! warm-start benches assert across processes).
+//!
+//! Each schedule and each point is written once:
+//!
+//! * a design point whose [`DesignPoint::schedule_key`] names a schedule the
+//!   schedule section holds (an equal one) writes only that key; the decoder
+//!   re-links it to the very `Arc` the decoded schedule layer holds. Every
+//!   other point — no key, or a key the snapshot lacks (an evicted entry, a
+//!   shard delta) — writes its schedule inline;
+//! * a supply-search outcome whose point the points section holds (an equal
+//!   one) writes only the point's supply bits; the decoder rebuilds the
+//!   [`PointKey`] from the outcome's workload and design plus that supply and
+//!   shares the decoded point's `Arc`.
+//!
+//! A reference is written only when its target is in the same snapshot, so
+//! the encoding stays a pure function of the contents, and a reference the
+//! decoder cannot resolve is a layout error.
+//!
+//! Every byte is covered by exactly one digest: each payload by its own, and
+//! the header plus every section header (payload digests included) by the
+//! trailing skeleton digest. So any single bit flip anywhere in a snapshot is
+//! detected, each payload byte is hashed once, and the skeleton and every
+//! payload digest are checked before anything is decoded into a value.
+//! Rejections are classified three ways — wrong magic/version/shape or an
+//! unresolvable reference ([`SnapshotRejection::Version`]), any digest
+//! mismatch including wrong-workload scope ([`SnapshotRejection::Digest`]),
+//! and inputs that end early ([`SnapshotRejection::Truncated`]) — and surface
+//! in [`SnapshotStats`].
 //!
 //! Loads merge through [`CacheBackend::absorb`], the same deterministic path
 //! shard merges use, so a warm-started session is bit-identical to a cold one
 //! — it just skips the recomputation.
+//!
+//! [`CacheBackend::absorb`]: crate::CacheBackend::absorb
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -41,30 +69,49 @@ use std::fs;
 use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use impact_codec::{Decode, Decoder, Encode, Encoder};
+use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use impact_rtl::FingerprintHasher;
+use impact_sched::SchedulingResult;
 
-use crate::cache::{
-    AbsorbStats, CacheBackend, CacheSnapshot, CacheStats, DesignContext, InMemoryCache, MuxEntry,
-};
+use crate::cache::CacheSnapshot;
 use crate::evaluate::DesignPoint;
-use crate::fingerprint::{
-    BlockKey, ContextKey, FuStatsKey, MuxStatsKey, PointKey, RegStatsKey, ScaledKey, ScheduleKey,
-    WorkloadId,
-};
+use crate::fingerprint::{PointKey, ScaledKey, ScheduleKey, WorkloadId};
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Number of sections (one per cache layer).
 const SECTION_COUNT: u32 = 8;
 
-/// Section tags, in file order.
+/// Bytes before the first section: magic, version, total length, workload
+/// digest and section count.
+const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8 + 16 + 4;
+
+/// Bytes of one section header: tag, payload length and payload digest.
+const SECTION_HEADER_LEN: usize = 1 + 8 + 16;
+
+/// Bytes of the trailing skeleton digest.
+const TRAILER_LEN: usize = 16;
+
+/// Section tags, in file order (schedules before the points that reference
+/// them, points before the supply-search outcomes that reference them), and
+/// the names layout reports use.
+const SECTIONS: [(u8, &str); SECTION_COUNT as usize] = [
+    (SEC_SCHEDULES, "schedules"),
+    (SEC_POINTS, "points"),
+    (SEC_SCALED, "scaled"),
+    (SEC_CONTEXTS, "contexts"),
+    (SEC_BLOCKS, "blocks"),
+    (SEC_FU_STATS, "fu_stats"),
+    (SEC_REG_STATS, "reg_stats"),
+    (SEC_MUX_STATS, "mux_stats"),
+];
 const SEC_POINTS: u8 = 1;
 const SEC_SCALED: u8 = 2;
 const SEC_CONTEXTS: u8 = 3;
@@ -74,15 +121,21 @@ const SEC_FU_STATS: u8 = 6;
 const SEC_REG_STATS: u8 = 7;
 const SEC_MUX_STATS: u8 = 8;
 
+/// Forms of one supply-search outcome in the scaled section.
+const SCALED_INFEASIBLE: u8 = 0;
+const SCALED_INLINE: u8 = 1;
+const SCALED_REFERENCED: u8 = 2;
+
 /// Why a snapshot was rejected at load time. Every class degrades to a cache
 /// miss; the distinction only feeds the [`SnapshotStats`] counters and
 /// operator-facing reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotRejection {
     /// Wrong magic, unknown format version, or a shape the current reader
-    /// does not understand (section tags, per-type version tags).
+    /// does not understand (section tags, per-type version tags, references
+    /// to entries the snapshot does not hold).
     Version,
-    /// A content digest did not match: section payload, whole-file trailer,
+    /// A content digest did not match: section payload, skeleton trailer,
     /// or the workload scope the loader required.
     Digest,
     /// The input ended before the declared structure was complete.
@@ -226,83 +279,163 @@ fn snapshot_workloads(snapshot: &CacheSnapshot) -> BTreeSet<u128> {
     workloads
 }
 
-fn encode_section<K, V>(out: &mut Encoder, tag: u8, map: &HashMap<K, V>)
-where
-    K: Encode + Ord,
-    V: Encode,
-{
+/// Where a snapshot's bytes go: entries and payload bytes per section, and
+/// how many entries were written by reference instead of inline.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SnapshotLayout {
+    /// Total snapshot length in bytes.
+    pub total_bytes: u64,
+    /// One entry per section, in file order.
+    pub sections: Vec<SectionLayout>,
+    /// Design points whose schedule is a reference into the schedule
+    /// section.
+    pub points_by_reference: u64,
+    /// Supply-search outcomes whose point is a reference into the points
+    /// section.
+    pub scaled_by_reference: u64,
+}
+
+/// Size of one snapshot section.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SectionLayout {
+    /// The cache layer the section holds.
+    pub name: &'static str,
+    /// Entries in the section.
+    pub entries: u64,
+    /// Payload bytes (the section header excluded).
+    pub payload_bytes: u64,
+}
+
+/// Whether `point`'s schedule can be written as a reference: its key names
+/// an equal schedule in `schedules`.
+fn schedule_resident(
+    schedules: &HashMap<ScheduleKey, Arc<SchedulingResult>>,
+    point: &DesignPoint,
+) -> bool {
+    point
+        .schedule_key
+        .as_ref()
+        .and_then(|key| schedules.get(key))
+        .is_some_and(|held| Arc::ptr_eq(held, &point.schedule) || **held == *point.schedule)
+}
+
+/// Whether the supply-search outcome `point` under `key` can be written as a
+/// reference: the points section holds an equal point (memo key included)
+/// under the point key rebuilt from the outcome.
+fn point_resident(snapshot: &CacheSnapshot, key: &ScaledKey, point: &Arc<DesignPoint>) -> bool {
+    snapshot
+        .points
+        .get(&PointKey::new(key.workload, key.design, point.vdd))
+        .is_some_and(|held| {
+            Arc::ptr_eq(held, point)
+                || (**held == **point && held.schedule_key == point.schedule_key)
+        })
+}
+
+/// One section's payload: the entry count, then every entry in key order,
+/// each written by `write`.
+fn encode_entries<K: Ord, V>(
+    map: &HashMap<K, V>,
+    mut write: impl FnMut(&mut Encoder, &K, &V),
+) -> Vec<u8> {
     let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     let mut payload = Encoder::new();
     payload.put_usize(entries.len());
     for (key, value) in entries {
-        key.encode(&mut payload);
-        value.encode(&mut payload);
+        write(&mut payload, key, value);
     }
-    let bytes = payload.into_bytes();
-    out.put_u8(tag);
-    out.put_u64(bytes.len() as u64);
-    out.put_u128(digest_bytes(&bytes));
-    out.put_raw(&bytes);
+    payload.into_bytes()
 }
 
-fn decode_section<K, V>(r: &mut Decoder<'_>, tag: u8) -> Result<HashMap<K, V>, SnapshotRejection>
-where
-    K: Decode + Eq + Hash,
-    V: Decode,
-{
-    let found = r.take_u8().map_err(|_| SnapshotRejection::Truncated)?;
-    if found != tag {
-        return Err(SnapshotRejection::Version);
-    }
-    let len = r.take_u64().map_err(|_| SnapshotRejection::Truncated)?;
-    let len = usize::try_from(len).map_err(|_| SnapshotRejection::Truncated)?;
-    let declared = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
-    if len > r.remaining() {
-        return Err(SnapshotRejection::Truncated);
-    }
-    let payload = r.take_raw(len).map_err(|_| SnapshotRejection::Truncated)?;
-    if digest_bytes(payload) != declared {
-        return Err(SnapshotRejection::Digest);
-    }
-    // The payload's bytes are digest-verified from here on: a decode failure
-    // means the writer's layout differs from ours under the same container
-    // version — a versioning problem, not corruption.
-    let mut pr = Decoder::new(payload);
-    let count = pr.take_len(1).map_err(|_| SnapshotRejection::Version)?;
-    let mut map = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let key = K::decode(&mut pr).map_err(|_| SnapshotRejection::Version)?;
-        let value = V::decode(&mut pr).map_err(|_| SnapshotRejection::Version)?;
-        map.insert(key, value);
-    }
-    pr.finish().map_err(|_| SnapshotRejection::Version)?;
-    Ok(map)
+/// Writes a plain `(key, value)` entry.
+fn encode_plain<K: Encode, V: Encode>(w: &mut Encoder, key: &K, value: &V) {
+    key.encode(w);
+    value.encode(w);
 }
 
 /// Serializes a [`CacheSnapshot`] into the versioned wire format.
 /// Deterministic: equal snapshot contents always produce identical bytes.
 pub fn encode_snapshot(snapshot: &CacheSnapshot) -> Vec<u8> {
-    let mut sections = Encoder::new();
-    sections.put_u128(workload_digest(&snapshot_workloads(snapshot)));
-    sections.put_u32(SECTION_COUNT);
-    encode_section(&mut sections, SEC_POINTS, &snapshot.points);
-    encode_section(&mut sections, SEC_SCALED, &snapshot.scaled);
-    encode_section(&mut sections, SEC_CONTEXTS, &snapshot.contexts);
-    encode_section(&mut sections, SEC_SCHEDULES, &snapshot.schedules);
-    encode_section(&mut sections, SEC_BLOCKS, &snapshot.block_schedules);
-    encode_section(&mut sections, SEC_FU_STATS, &snapshot.fu_stats);
-    encode_section(&mut sections, SEC_REG_STATS, &snapshot.reg_stats);
-    encode_section(&mut sections, SEC_MUX_STATS, &snapshot.mux_stats);
-    let mut out = Encoder::new();
-    out.put_raw(&SNAPSHOT_MAGIC);
-    out.put_u32(SNAPSHOT_VERSION);
-    // magic + version + length field + sections + 16-byte trailer.
-    out.put_u64((SNAPSHOT_MAGIC.len() + 4 + 8 + sections.len() + 16) as u64);
-    out.put_raw(sections.as_bytes());
-    let trailer = digest_bytes(out.as_bytes());
-    out.put_u128(trailer);
-    out.into_bytes()
+    let schedules = &snapshot.schedules;
+    // In `SECTIONS` order.
+    let payloads: [Vec<u8>; SECTION_COUNT as usize] = [
+        encode_entries(schedules, encode_plain),
+        encode_entries(&snapshot.points, |w, key, point| {
+            key.encode(w);
+            point.encode_with(w, schedule_resident(schedules, point));
+        }),
+        encode_entries(&snapshot.scaled, |w, key, outcome| {
+            key.encode(w);
+            match outcome {
+                None => w.put_u8(SCALED_INFEASIBLE),
+                Some(point) if point_resident(snapshot, key, point) => {
+                    w.put_u8(SCALED_REFERENCED);
+                    w.put_f64(point.vdd);
+                }
+                Some(point) => {
+                    w.put_u8(SCALED_INLINE);
+                    point.encode_with(w, schedule_resident(schedules, point));
+                }
+            }
+        }),
+        encode_entries(&snapshot.contexts, encode_plain),
+        encode_entries(&snapshot.block_schedules, encode_plain),
+        encode_entries(&snapshot.fu_stats, encode_plain),
+        encode_entries(&snapshot.reg_stats, encode_plain),
+        encode_entries(&snapshot.mux_stats, encode_plain),
+    ];
+    let total = HEADER_LEN
+        + payloads
+            .iter()
+            .map(|payload| SECTION_HEADER_LEN + payload.len())
+            .sum::<usize>()
+        + TRAILER_LEN;
+    let mut skeleton = Encoder::new();
+    skeleton.put_raw(&SNAPSHOT_MAGIC);
+    skeleton.put_u32(SNAPSHOT_VERSION);
+    skeleton.put_u64(total as u64);
+    skeleton.put_u128(workload_digest(&snapshot_workloads(snapshot)));
+    skeleton.put_u32(SECTION_COUNT);
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(skeleton.as_bytes());
+    for ((tag, _), payload) in SECTIONS.iter().zip(&payloads) {
+        let mut header = Encoder::new();
+        header.put_u8(*tag);
+        header.put_u64(payload.len() as u64);
+        header.put_u128(digest_bytes(payload));
+        skeleton.put_raw(header.as_bytes());
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(payload);
+    }
+    out.extend_from_slice(&digest_bytes(skeleton.as_bytes()).to_le_bytes());
+    debug_assert_eq!(out.len(), total);
+    out
+}
+
+/// Decodes one section's entries with `read`. The payload's digest has
+/// already been verified, so any decode failure — a malformed entry, a
+/// dangling reference, trailing bytes — means the writer's layout differs
+/// from ours under the same container version: a versioning problem, not
+/// corruption.
+fn decode_entries<K: Eq + Hash, V>(
+    payload: &[u8],
+    mut read: impl FnMut(&mut Decoder<'_>) -> Result<(K, V), DecodeError>,
+) -> Result<HashMap<K, V>, SnapshotRejection> {
+    let mut r = Decoder::new(payload);
+    let count = r.take_len(1).map_err(|_| SnapshotRejection::Version)?;
+    let mut map = HashMap::with_capacity(count);
+    for _ in 0..count {
+        let (key, value) = read(&mut r).map_err(|_| SnapshotRejection::Version)?;
+        map.insert(key, value);
+    }
+    r.finish().map_err(|_| SnapshotRejection::Version)?;
+    Ok(map)
+}
+
+/// Reads a plain `(key, value)` entry.
+fn decode_plain<K: Decode, V: Decode>(r: &mut Decoder<'_>) -> Result<(K, V), DecodeError> {
+    Ok((K::decode(r)?, V::decode(r)?))
 }
 
 /// Decodes snapshot bytes, verifying magic, version, every digest and the
@@ -316,15 +449,27 @@ pub fn decode_snapshot(
     bytes: &[u8],
     scope: SnapshotScope,
 ) -> Result<CacheSnapshot, SnapshotRejection> {
+    decode_snapshot_with_layout(bytes, scope).map(|(snapshot, _)| snapshot)
+}
+
+/// [`decode_snapshot`], also reporting where the snapshot's bytes go.
+///
+/// # Errors
+///
+/// As [`decode_snapshot`].
+pub fn decode_snapshot_with_layout(
+    bytes: &[u8],
+    scope: SnapshotScope,
+) -> Result<(CacheSnapshot, SnapshotLayout), SnapshotRejection> {
     // Fixed prelude (magic + version + declared length) and trailer.
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + 8 + 16 {
+    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + 8 + TRAILER_LEN {
         return Err(SnapshotRejection::Truncated);
     }
     if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(SnapshotRejection::Version);
     }
-    // Parse the body only: the trailing 16 bytes are the whole-file digest.
-    let (body, trailer) = bytes.split_at(bytes.len() - 16);
+    // Parse the body only: the trailing 16 bytes are the skeleton digest.
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
     let mut r = Decoder::new(&body[SNAPSHOT_MAGIC.len()..]);
     let version = r.take_u32().map_err(|_| SnapshotRejection::Truncated)?;
     if version != SNAPSHOT_VERSION {
@@ -337,37 +482,90 @@ pub fn decode_snapshot(
         Ok(_) => {}
         Err(_) => return Err(SnapshotRejection::Version),
     }
-    // The trailer covers every preceding byte, so from here on ANY bit flip
-    // in the file — header fields and section digests included — is caught.
-    // (A flip in the length field itself misclassifies as truncation or
-    // trailing junk, but is still rejected.)
-    let declared_trailer = u128::from_le_bytes(trailer.try_into().expect("16-byte trailer"));
-    if digest_bytes(body) != declared_trailer {
-        return Err(SnapshotRejection::Digest);
-    }
     let header_workloads = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
     let sections = r.take_u32().map_err(|_| SnapshotRejection::Truncated)?;
     if sections != SECTION_COUNT {
         return Err(SnapshotRejection::Version);
     }
-    let snapshot = CacheSnapshot {
-        points: decode_section::<PointKey, _>(&mut r, SEC_POINTS)?,
-        scaled: decode_section::<ScaledKey, Option<std::sync::Arc<DesignPoint>>>(
-            &mut r, SEC_SCALED,
-        )?,
-        contexts: decode_section::<ContextKey, std::sync::Arc<DesignContext>>(
-            &mut r,
-            SEC_CONTEXTS,
-        )?,
-        schedules: decode_section::<ScheduleKey, _>(&mut r, SEC_SCHEDULES)?,
-        block_schedules: decode_section::<BlockKey, _>(&mut r, SEC_BLOCKS)?,
-        fu_stats: decode_section::<FuStatsKey, _>(&mut r, SEC_FU_STATS)?,
-        reg_stats: decode_section::<RegStatsKey, _>(&mut r, SEC_REG_STATS)?,
-        mux_stats: decode_section::<MuxStatsKey, MuxEntry>(&mut r, SEC_MUX_STATS)?,
-    };
+    // Walk the skeleton, stepping over the payloads. (A flip in a length
+    // field misclassifies as truncation or layout, but is still rejected.)
+    let mut skeleton = Encoder::new();
+    skeleton.put_raw(&bytes[..HEADER_LEN]);
+    let mut payloads: Vec<(u8, u128, &[u8])> = Vec::with_capacity(SECTIONS.len());
+    for _ in SECTIONS {
+        let tag = r.take_u8().map_err(|_| SnapshotRejection::Truncated)?;
+        let len = r.take_u64().map_err(|_| SnapshotRejection::Truncated)?;
+        let digest = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
+        skeleton.put_u8(tag);
+        skeleton.put_u64(len);
+        skeleton.put_u128(digest);
+        let len = usize::try_from(len).map_err(|_| SnapshotRejection::Truncated)?;
+        let payload = r.take_raw(len).map_err(|_| SnapshotRejection::Truncated)?;
+        payloads.push((tag, digest, payload));
+    }
     if !r.is_empty() {
         return Err(SnapshotRejection::Version);
     }
+    // The skeleton digest covers the header and every section header, and
+    // each section header carries its payload's digest: once all of them
+    // check, every byte of the file is verified — before any decoding.
+    let declared_trailer = u128::from_le_bytes(trailer.try_into().expect("16-byte trailer"));
+    if digest_bytes(skeleton.as_bytes()) != declared_trailer {
+        return Err(SnapshotRejection::Digest);
+    }
+    for ((tag, digest, payload), (expected, _)) in payloads.iter().zip(SECTIONS) {
+        if *tag != expected {
+            return Err(SnapshotRejection::Version);
+        }
+        if digest_bytes(payload) != *digest {
+            return Err(SnapshotRejection::Digest);
+        }
+    }
+    // Indexed in `SECTIONS` order.
+    let payload = |index: usize| payloads[index].2;
+
+    let schedules = decode_entries::<ScheduleKey, Arc<SchedulingResult>>(payload(0), decode_plain)?;
+    let mut points_by_reference = 0;
+    let points = decode_entries(payload(1), |r| {
+        let key = PointKey::decode(r)?;
+        let point = DesignPoint::decode_with(r, |schedule| {
+            points_by_reference += 1;
+            schedules.get(schedule).cloned()
+        })?;
+        Ok((key, Arc::new(point)))
+    })?;
+    let mut scaled_by_reference = 0;
+    let scaled = decode_entries(payload(2), |r| {
+        let key = ScaledKey::decode(r)?;
+        let outcome = match r.take_u8()? {
+            SCALED_INFEASIBLE => None,
+            SCALED_INLINE => Some(Arc::new(DesignPoint::decode_with(r, |schedule| {
+                schedules.get(schedule).cloned()
+            })?)),
+            SCALED_REFERENCED => {
+                let point_key = PointKey::new(key.workload, key.design, r.take_f64()?);
+                scaled_by_reference += 1;
+                Some(
+                    points
+                        .get(&point_key)
+                        .cloned()
+                        .ok_or(DecodeError::Invalid("dangling point reference"))?,
+                )
+            }
+            _ => return Err(DecodeError::Invalid("unknown supply-search outcome form")),
+        };
+        Ok((key, outcome))
+    })?;
+    let snapshot = CacheSnapshot {
+        contexts: decode_entries(payload(3), decode_plain)?,
+        block_schedules: decode_entries(payload(4), decode_plain)?,
+        fu_stats: decode_entries(payload(5), decode_plain)?,
+        reg_stats: decode_entries(payload(6), decode_plain)?,
+        mux_stats: decode_entries(payload(7), decode_plain)?,
+        points,
+        scaled,
+        schedules,
+    };
     // The header's workload digest must agree with the decoded keys, and the
     // decoded workloads must fit the requested scope.
     let workloads = snapshot_workloads(&snapshot);
@@ -379,7 +577,32 @@ pub fn decode_snapshot(
             return Err(SnapshotRejection::Digest);
         }
     }
-    Ok(snapshot)
+    let entries = [
+        snapshot.schedules.len(),
+        snapshot.points.len(),
+        snapshot.scaled.len(),
+        snapshot.contexts.len(),
+        snapshot.block_schedules.len(),
+        snapshot.fu_stats.len(),
+        snapshot.reg_stats.len(),
+        snapshot.mux_stats.len(),
+    ];
+    let layout = SnapshotLayout {
+        total_bytes: bytes.len() as u64,
+        sections: SECTIONS
+            .iter()
+            .zip(entries)
+            .zip(&payloads)
+            .map(|(((_, name), entries), (_, _, payload))| SectionLayout {
+                name,
+                entries: entries as u64,
+                payload_bytes: payload.len() as u64,
+            })
+            .collect(),
+        points_by_reference,
+        scaled_by_reference,
+    };
+    Ok((snapshot, layout))
 }
 
 /// Writes snapshot bytes to `path` atomically: the bytes land in a sibling
@@ -403,145 +626,4 @@ pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path).inspect_err(|_| {
         let _ = fs::remove_file(&tmp);
     })
-}
-
-/// A disk-backed [`CacheBackend`]: an [`InMemoryCache`] that can hydrate from
-/// a snapshot file at open and persist back with [`DiskCache::flush`].
-///
-/// Opening with a missing file is a normal cold start; a stale, truncated or
-/// corrupt file degrades to a cold start too (counted in
-/// [`SnapshotStats`], surfaced via [`CacheStats::snapshot`]) and is replaced
-/// wholesale on the next flush. All lookup/store traffic is served by the
-/// in-memory store — the disk is touched only at `open` and `flush`.
-#[derive(Debug)]
-pub struct DiskCache {
-    inner: InMemoryCache,
-    path: PathBuf,
-    scope: SnapshotScope,
-}
-
-impl DiskCache {
-    /// Opens a disk cache at `path`, loading the snapshot there if one
-    /// exists and it passes verification under `scope`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors other than the file not existing.
-    /// Rejected snapshot *contents* are not an error — they leave the cache
-    /// cold with the rejection counted.
-    pub fn open(path: impl Into<PathBuf>, scope: SnapshotScope) -> io::Result<Self> {
-        let cache = Self {
-            inner: InMemoryCache::new(),
-            path: path.into(),
-            scope,
-        };
-        match fs::read(&cache.path) {
-            Ok(bytes) => {
-                let _ = cache.inner.load_snapshot(&bytes, cache.scope);
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        Ok(cache)
-    }
-
-    /// Writes the current entries to the snapshot file (atomic
-    /// temp-file-and-rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn flush(&self) -> io::Result<()> {
-        write_snapshot_bytes(&self.path, &self.inner.save_snapshot())
-    }
-
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The workload scope loads are verified against.
-    pub fn scope(&self) -> SnapshotScope {
-        self.scope
-    }
-}
-
-impl CacheBackend for DiskCache {
-    fn lookup_point(&self, key: &PointKey) -> Option<std::sync::Arc<DesignPoint>> {
-        self.inner.lookup_point(key)
-    }
-    fn store_point(&self, key: PointKey, value: std::sync::Arc<DesignPoint>) {
-        self.inner.store_point(key, value);
-    }
-    fn lookup_scaled(&self, key: &ScaledKey) -> Option<Option<std::sync::Arc<DesignPoint>>> {
-        self.inner.lookup_scaled(key)
-    }
-    fn store_scaled(&self, key: ScaledKey, value: Option<std::sync::Arc<DesignPoint>>) {
-        self.inner.store_scaled(key, value);
-    }
-    fn lookup_context(&self, key: &ContextKey) -> Option<std::sync::Arc<DesignContext>> {
-        self.inner.lookup_context(key)
-    }
-    fn store_context(&self, key: ContextKey, value: std::sync::Arc<DesignContext>) {
-        self.inner.store_context(key, value);
-    }
-    fn lookup_schedule(
-        &self,
-        key: &ScheduleKey,
-    ) -> Option<std::sync::Arc<impact_sched::SchedulingResult>> {
-        self.inner.lookup_schedule(key)
-    }
-    fn store_schedule(
-        &self,
-        key: ScheduleKey,
-        value: std::sync::Arc<impact_sched::SchedulingResult>,
-    ) {
-        self.inner.store_schedule(key, value);
-    }
-    fn lookup_block(&self, key: &BlockKey) -> Option<std::sync::Arc<impact_sched::BlockSchedule>> {
-        self.inner.lookup_block(key)
-    }
-    fn store_block(&self, key: BlockKey, value: std::sync::Arc<impact_sched::BlockSchedule>) {
-        self.inner.store_block(key, value);
-    }
-    fn lookup_fu(&self, key: &FuStatsKey) -> Option<impact_trace::FuStats> {
-        self.inner.lookup_fu(key)
-    }
-    fn store_fu(&self, key: FuStatsKey, value: impact_trace::FuStats) {
-        self.inner.store_fu(key, value);
-    }
-    fn lookup_reg(&self, key: &RegStatsKey) -> Option<impact_trace::RegStats> {
-        self.inner.lookup_reg(key)
-    }
-    fn store_reg(&self, key: RegStatsKey, value: impact_trace::RegStats) {
-        self.inner.store_reg(key, value);
-    }
-    fn lookup_mux(&self, key: &MuxStatsKey) -> Option<MuxEntry> {
-        self.inner.lookup_mux(key)
-    }
-    fn store_mux(&self, key: MuxStatsKey, value: MuxEntry) {
-        self.inner.store_mux(key, value);
-    }
-    fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-    fn record_explore(&self, stats: crate::ExploreStats) {
-        self.inner.record_explore(stats);
-    }
-    fn export(&self) -> CacheSnapshot {
-        self.inner.export()
-    }
-    fn absorb(&self, snapshot: CacheSnapshot) -> AbsorbStats {
-        self.inner.absorb(snapshot)
-    }
-    fn save_snapshot(&self) -> Vec<u8> {
-        self.inner.save_snapshot()
-    }
-    fn load_snapshot(
-        &self,
-        bytes: &[u8],
-        scope: SnapshotScope,
-    ) -> Result<AbsorbStats, SnapshotRejection> {
-        self.inner.load_snapshot(bytes, scope)
-    }
 }

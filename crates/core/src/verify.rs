@@ -15,6 +15,7 @@
 //! [`Violation`]s, never mutating the session.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use impact_modlib::VDD_REFERENCE;
 pub use impact_verify::{
@@ -26,7 +27,7 @@ use crate::cache::{CacheSnapshot, DesignContext};
 use crate::evaluate::ENC_EPS;
 use crate::fingerprint::{BlockKey, WorkloadId};
 use crate::session::SweepSession;
-use crate::snapshot::{decode_snapshot, SnapshotScope};
+use crate::snapshot::{decode_snapshot_with_layout, SnapshotLayout, SnapshotScope};
 use impact_rtl::DesignFingerprint;
 
 /// Audits every cache layer of a live session. Equivalent to
@@ -39,13 +40,22 @@ pub fn audit_session(session: &SweepSession) -> Vec<Violation> {
 /// magic, version, digest or truncation) is reported as a single
 /// [`rules::CACHE_SNAPSHOT`] violation.
 pub fn audit_snapshot_bytes(bytes: &[u8]) -> Vec<Violation> {
-    match decode_snapshot(bytes, SnapshotScope::Any) {
-        Ok(snapshot) => audit_snapshot(&snapshot),
-        Err(rejection) => vec![Violation::error(
-            rules::CACHE_SNAPSHOT,
-            "snapshot",
-            format!("snapshot rejected: {rejection}"),
-        )],
+    audit_snapshot_bytes_with_layout(bytes).1
+}
+
+/// [`audit_snapshot_bytes`], also returning where the snapshot's bytes go
+/// (`None` when the decode was rejected).
+pub fn audit_snapshot_bytes_with_layout(bytes: &[u8]) -> (Option<SnapshotLayout>, Vec<Violation>) {
+    match decode_snapshot_with_layout(bytes, SnapshotScope::Any) {
+        Ok((snapshot, layout)) => (Some(layout), audit_snapshot(&snapshot)),
+        Err(rejection) => (
+            None,
+            vec![Violation::error(
+                rules::CACHE_SNAPSHOT,
+                "snapshot",
+                format!("snapshot rejected: {rejection}"),
+            )],
+        ),
     }
 }
 
@@ -91,6 +101,7 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
                 .into_iter()
                 .map(|v| v.at(&location)),
         );
+        violations.extend(schedule_key_violation(snapshot, point, &location));
     }
 
     for (key, entry) in &snapshot.scaled {
@@ -98,6 +109,7 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
             continue;
         };
         let location = format!("scaled[{:032x}]", key.design.as_u128());
+        violations.extend(schedule_key_violation(snapshot, point, &location));
         if point.design.fingerprint() != key.design {
             violations.push(Violation::error(
                 rules::CACHE_SCALED_KEY,
@@ -193,6 +205,29 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
     }
 
     violations
+}
+
+/// Coherence of a point's schedule memo key: when the schedule layer holds
+/// an entry under the key, it must be the point's schedule. The key is what
+/// the snapshot codec writes in place of the schedule, so a wrong key means
+/// the two layers disagree about what that scheduling problem produces.
+fn schedule_key_violation(
+    snapshot: &CacheSnapshot,
+    point: &crate::DesignPoint,
+    location: &str,
+) -> Option<Violation> {
+    let key = point.schedule_key?;
+    let held = snapshot.schedules.get(&key)?;
+    (!Arc::ptr_eq(held, &point.schedule) && **held != *point.schedule).then(|| {
+        Violation::error(
+            rules::CACHE_SCHEDULE,
+            location,
+            format!(
+                "schedule layer stores a different schedule under the point's key {:032x}",
+                key.problem
+            ),
+        )
+    })
 }
 
 /// Internal shape invariants of one evaluation context: parallel vectors
@@ -349,8 +384,6 @@ fn context_point_violations(
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::fingerprint::PointKey;
     use crate::{EngineConfig, Impact, SynthesisConfig, VerifyLevel};
@@ -489,6 +522,47 @@ mod tests {
             .expect("the schedule and block layers share a digest");
         let block = snapshot.block_schedules.get_mut(&block_key).unwrap();
         Arc::make_mut(block).ops[0].start_ns += 0.25;
+        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_SCHEDULE));
+    }
+
+    #[test]
+    fn a_point_keyed_to_another_schedule_trips_the_schedule_rule() {
+        let mut snapshot = populated_session().backend().export();
+        // Re-key one point to a schedule the layer holds that differs from
+        // the point's own: its memo key no longer names its schedule.
+        let (point_key, wrong) = snapshot
+            .points
+            .iter()
+            .find_map(|(key, point)| {
+                snapshot
+                    .schedules
+                    .iter()
+                    .find(|(_, held)| **held != point.schedule)
+                    .map(|(wrong, _)| (*key, *wrong))
+            })
+            .expect("the session holds more than one distinct schedule");
+        assert!(!fired(&audit_snapshot(&snapshot), rules::CACHE_SCHEDULE));
+        let point = snapshot.points.get_mut(&point_key).unwrap();
+        Arc::make_mut(point).schedule_key = Some(wrong);
+        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_SCHEDULE));
+
+        // The same mismatch on a supply-search outcome is caught too.
+        let mut snapshot = populated_session().backend().export();
+        let (scaled_key, wrong) = snapshot
+            .scaled
+            .iter()
+            .find_map(|(key, outcome)| {
+                let point = outcome.as_ref()?;
+                snapshot
+                    .schedules
+                    .iter()
+                    .find(|(_, held)| **held != point.schedule)
+                    .map(|(wrong, _)| (*key, *wrong))
+            })
+            .expect("the session cached a feasible supply-search outcome");
+        let outcome = snapshot.scaled.get_mut(&scaled_key).unwrap();
+        let point = outcome.as_mut().unwrap();
+        Arc::make_mut(point).schedule_key = Some(wrong);
         assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_SCHEDULE));
     }
 

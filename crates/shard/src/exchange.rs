@@ -5,8 +5,8 @@
 //! stale file substituted. [`gate_and_absorb`] therefore runs the full
 //! defense stack before any entry reaches the receiver's cache:
 //!
-//! 1. the PR 6 snapshot decoder (magic, version, per-section and whole-file
-//!    digests, truncation checks), then
+//! 1. the snapshot decoder (magic, version, per-section and skeleton
+//!    digests, truncation checks, reference resolution), then
 //! 2. the `impact_verify` cache audit (every design point, context and
 //!    schedule re-verified against its key and against the other layers).
 //!
