@@ -70,8 +70,9 @@ pub struct DesignContext {
     /// Register ids in allocation order (one per `profile.regs` entry).
     pub(crate) reg_ids: Vec<impact_rtl::RegId>,
     /// Every mux site with fan-in ≥ 2, in enumeration order (one per
-    /// `profile.muxes` entry).
-    pub(crate) sites: Vec<MuxSite>,
+    /// `profile.muxes` entry). Shared with the parent's context when a patch
+    /// leaves the enumeration unchanged.
+    pub(crate) sites: Arc<Vec<MuxSite>>,
     /// Whether each site's tree was restructured, parallel to `sites`.
     pub(crate) site_restructured: Vec<bool>,
     /// Depth of every source in each site's tree, parallel to `sites`.
@@ -102,6 +103,23 @@ pub struct MuxEntry {
     pub(crate) tree_activity: f64,
     pub(crate) depths: Vec<usize>,
     pub(crate) selections_per_pass: f64,
+}
+
+impl MuxEntry {
+    /// Switching activity of the site's tree.
+    pub fn tree_activity(&self) -> f64 {
+        self.tree_activity
+    }
+
+    /// Depth of every source in the tree, in site order.
+    pub fn depths(&self) -> &[usize] {
+        &self.depths
+    }
+
+    /// Average number of selections per input pass.
+    pub fn selections_per_pass(&self) -> f64 {
+        self.selections_per_pass
+    }
 }
 
 /// Hit/miss counters of one cache layer.
@@ -714,7 +732,7 @@ mod tests {
             },
             fu_ids: Vec::new(),
             reg_ids: Vec::new(),
-            sites: Vec::new(),
+            sites: Arc::default(),
             site_restructured: Vec::new(),
             site_depths: Vec::new(),
             site_index: std::sync::OnceLock::new(),

@@ -31,13 +31,13 @@ use impact_modlib::{ModuleLibrary, VDD_REFERENCE};
 use impact_power::{PowerBreakdown, PowerEstimator, PowerProfile};
 use impact_rtl::{
     DesignDelta, DesignFingerprint, FingerprintHasher, FuId, FunctionalUnit, MuxSite, MuxTree,
-    RegId, Register, RtlDesign,
+    RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
     BlockSchedule, BlockSource, ScheduleConfig, ScheduleDeltaProblem, Scheduler, SchedulingProblem,
     SchedulingResult, WaveScheduler,
 };
-use impact_trace::RtTraces;
+use impact_trace::{FuStats, RegStats, RtTraces};
 
 use crate::cache::{CacheBackend, CacheStats, DesignContext, MuxEntry};
 use crate::config::{OptimizationMode, SynthesisConfig};
@@ -855,50 +855,64 @@ impl<'a> Evaluator<'a> {
         context
     }
 
-    /// Per-unit trace statistics (memoized by content when a session is
-    /// active): mean input activity and activations per pass.
-    fn fu_stat_values(
+    /// Per-unit trace statistics, memoized by content when a session is
+    /// active.
+    fn fu_stats(
         &self,
         rt: &RtTraces<'_>,
         design: &RtlDesign,
         fu: FuId,
         unit: &FunctionalUnit,
-    ) -> (f64, f64) {
-        let stats = match self.backend() {
-            Some(backend) => {
-                let key = FuStatsKey::of(self.workload, design, fu, unit.width);
-                match backend.lookup_fu(&key) {
-                    Some(stats) => stats,
-                    None => {
-                        let stats = rt.fu_stats(fu);
-                        backend.store_fu(key, stats);
-                        stats
-                    }
-                }
-            }
-            None => rt.fu_stats(fu),
+    ) -> FuStats {
+        let Some(backend) = self.backend() else {
+            return rt.fu_stats(fu);
         };
-        (stats.input_activity, stats.activations_per_pass)
+        let key = FuStatsKey::of(self.workload, design, fu, unit.width);
+        if let Some(stats) = backend.lookup_fu(&key) {
+            return stats;
+        }
+        let stats = rt.fu_stats(fu);
+        backend.store_fu(key, stats);
+        stats
     }
 
-    /// Per-register trace statistics (memoized by content when a session is
-    /// active): mean per-write activity and writes per pass.
-    fn reg_stat_values(&self, rt: &RtTraces<'_>, reg: RegId, register: &Register) -> (f64, f64) {
-        let stats = match self.backend() {
-            Some(backend) => {
-                let key = RegStatsKey::of(self.workload, &register.variables, register.width);
-                match backend.lookup_reg(&key) {
-                    Some(stats) => stats,
-                    None => {
-                        let stats = rt.register_stats(reg);
-                        backend.store_reg(key, stats);
-                        stats
-                    }
-                }
-            }
-            None => rt.register_stats(reg),
+    /// Per-register trace statistics, memoized by content when a session is
+    /// active.
+    fn reg_stats(&self, rt: &RtTraces<'_>, reg: RegId, register: &Register) -> RegStats {
+        let Some(backend) = self.backend() else {
+            return rt.register_stats(reg);
         };
-        (stats.activity, stats.writes_per_pass)
+        let key = RegStatsKey::of(self.workload, &register.variables, register.width);
+        if let Some(stats) = backend.lookup_reg(&key) {
+            return stats;
+        }
+        let stats = rt.register_stats(reg);
+        backend.store_reg(key, stats);
+        stats
+    }
+
+    /// Switching activity of a mux source served from the memoized
+    /// unit/register statistics. `RegStats::activity` and
+    /// `FuStats::output_activity` are the same functions of the same content
+    /// as [`RtTraces::signal_activity`], so the value is bit-identical to the
+    /// raw-trace one without re-merging the source's event streams.
+    fn memoized_signal_activity(
+        &self,
+        rt: &RtTraces<'_>,
+        design: &RtlDesign,
+        key: SignalKey,
+    ) -> f64 {
+        match key {
+            SignalKey::Register(reg) => match design.register(reg) {
+                Ok(register) => self.reg_stats(rt, reg, register).activity,
+                Err(_) => rt.signal_activity(key),
+            },
+            SignalKey::FuOutput(fu) => match design.functional_unit(fu) {
+                Ok(unit) => self.fu_stats(rt, design, fu, unit).output_activity,
+                Err(_) => rt.signal_activity(key),
+            },
+            SignalKey::Constant(_) => 0.0,
+        }
     }
 
     /// The design's mux sites with fan-in ≥ 2 in enumeration order — the
@@ -983,8 +997,14 @@ impl<'a> Evaluator<'a> {
             &self.library,
             design,
             &sites,
-            |fu, unit| self.fu_stat_values(&rt, design, fu, unit),
-            |reg, register| self.reg_stat_values(&rt, reg, register),
+            |fu, unit| {
+                let stats = self.fu_stats(&rt, design, fu, unit);
+                (stats.input_activity, stats.activations_per_pass)
+            },
+            |reg, register| {
+                let stats = self.reg_stats(&rt, reg, register);
+                (stats.activity, stats.writes_per_pass)
+            },
             |site, restructured| {
                 let entry = self.mux_entry(&rt, design, site, restructured);
                 (entry.tree_activity, entry.selections_per_pass)
@@ -996,7 +1016,7 @@ impl<'a> Evaluator<'a> {
             profile,
             fu_ids: design.functional_units().map(|(id, _)| id).collect(),
             reg_ids: design.registers().map(|(id, _)| id).collect(),
-            sites,
+            sites: Arc::new(sites),
             site_restructured,
             site_depths,
             site_index: std::sync::OnceLock::new(),
@@ -1039,27 +1059,52 @@ impl<'a> Evaluator<'a> {
         // a source's signal key survives a move (it carries ids), but the
         // statistics behind it follow the resource's content (a merged
         // register switches differently even though its id is unchanged).
-        let sites = self.candidate_sites(design);
+        //
+        // Site enumeration reads only the bindings, the set of occupied
+        // slots and their widths, so a move that rebinds nothing and keeps
+        // every touched slot occupied at its width (a restructure toggle, a
+        // module swap) shares the parent's list, position for position.
+        let shares_parent_sites = delta.op_bindings.is_empty()
+            && delta.var_bindings.is_empty()
+            && delta.fus.iter().all(|change| {
+                matches!((&change.before, &change.after),
+                    (Some(before), Some(after)) if before.width == after.width)
+            })
+            && delta.registers.iter().all(|change| {
+                matches!((&change.before, &change.after),
+                    (Some(before), Some(after))
+                        if before.width == after.width && before.variables == after.variables)
+            });
+        let sites = if shares_parent_sites {
+            debug_assert_eq!(*parent.sites, self.candidate_sites(design));
+            Arc::clone(&parent.sites)
+        } else {
+            Arc::new(self.candidate_sites(design))
+        };
         let site_restructured: Vec<bool> = sites
             .iter()
             .map(|site| design.is_restructured(site.sink))
             .collect();
-        let parent_site_index = parent.site_index();
         let sources_untouched = |site: &MuxSite| {
             site.sources.iter().all(|source| match source.key {
-                impact_rtl::SignalKey::Register(reg) => !touched_regs.contains(&reg),
-                impact_rtl::SignalKey::FuOutput(fu) => !touched_fus.contains(&fu),
-                impact_rtl::SignalKey::Constant(_) => true,
+                SignalKey::Register(reg) => !touched_regs.contains(&reg),
+                SignalKey::FuOutput(fu) => !touched_fus.contains(&fu),
+                SignalKey::Constant(_) => true,
             })
         };
         let reused_parent_site: Vec<Option<usize>> = sites
             .iter()
+            .enumerate()
             .zip(&site_restructured)
-            .map(|(site, &restructured)| {
-                parent_site_index.get(&site.sink).copied().filter(|&pi| {
-                    parent.sites[pi] == *site
-                        && parent.site_restructured[pi] == restructured
-                        && sources_untouched(site)
+            .map(|((index, site), &restructured)| {
+                let parent_position = if shares_parent_sites {
+                    Some(index)
+                } else {
+                    let position = parent.site_index().get(&site.sink).copied();
+                    position.filter(|&pi| parent.sites[pi] == *site)
+                };
+                parent_position.filter(|&pi| {
+                    parent.site_restructured[pi] == restructured && sources_untouched(site)
                 })
             })
             .collect();
@@ -1154,14 +1199,20 @@ impl<'a> Evaluator<'a> {
                     let entry = &parent.profile.fus[pos];
                     (entry.activity, entry.activations_per_pass)
                 }
-                _ => self.fu_stat_values(&rt, design, fu, unit),
+                _ => {
+                    let stats = self.fu_stats(&rt, design, fu, unit);
+                    (stats.input_activity, stats.activations_per_pass)
+                }
             },
             |reg, register| match parent.reg_ids.binary_search(&reg) {
                 Ok(pos) if !touched_regs.contains(&reg) => {
                     let entry = &parent.profile.regs[pos];
                     (entry.activity, entry.writes_per_pass)
                 }
-                _ => self.reg_stat_values(&rt, reg, register),
+                _ => {
+                    let stats = self.reg_stats(&rt, reg, register);
+                    (stats.activity, stats.writes_per_pass)
+                }
             },
             |site, restructured| {
                 let index = next_site.get();
@@ -1193,7 +1244,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Memoized statistics of one mux site (tree activity, source depths,
-    /// selection rate) for the given tree construction.
+    /// selection rate) for the given tree construction. A session miss
+    /// draws each source's activity from the unit/register layers; without
+    /// a session every statistic comes from the raw traces, which keeps the
+    /// brute-force oracle independent of the memo.
     fn mux_entry(
         &self,
         rt: &RtTraces<'_>,
@@ -1202,13 +1256,15 @@ impl<'a> Evaluator<'a> {
         restructured: bool,
     ) -> MuxEntry {
         let Some(backend) = self.backend() else {
-            return compute_mux_entry(rt, site, restructured);
+            return compute_mux_entry(rt, site, restructured, |key| rt.signal_activity(key));
         };
         let key = MuxStatsKey::of(self.workload, design, site, restructured);
         if let Some(entry) = backend.lookup_mux(&key) {
             return entry;
         }
-        let entry = compute_mux_entry(rt, site, restructured);
+        let entry = compute_mux_entry(rt, site, restructured, |key| {
+            self.memoized_signal_activity(rt, design, key)
+        });
         backend.store_mux(key, entry.clone());
         entry
     }
@@ -1434,9 +1490,15 @@ fn workload_id(cdfg: &Cdfg, trace: &ExecutionTrace, config: &SynthesisConfig) ->
 }
 
 /// Statistics of one mux site: the tree's switching activity, every source's
-/// depth in the tree, and the selection rate.
-fn compute_mux_entry(rt: &RtTraces<'_>, site: &MuxSite, restructured: bool) -> MuxEntry {
-    let sources = rt.mux_source_stats(site);
+/// depth in the tree, and the selection rate. `activity` supplies each
+/// source's switching activity (see [`RtTraces::mux_source_stats_with`]).
+fn compute_mux_entry(
+    rt: &RtTraces<'_>,
+    site: &MuxSite,
+    restructured: bool,
+    activity: impl FnMut(SignalKey) -> f64,
+) -> MuxEntry {
+    let sources = rt.mux_source_stats_with(site, activity);
     let tree = if restructured {
         MuxTree::huffman(sources)
     } else {
@@ -1833,5 +1895,101 @@ mod tests {
             merged.stats().hits > hits_before,
             "merged entries must serve lookups"
         );
+    }
+
+    /// The first of `moves` that applies to a copy of `parent`.
+    fn first_applicable(evaluator: &Evaluator<'_>, parent: &RtlDesign, moves: Vec<Move>) -> Move {
+        moves
+            .into_iter()
+            .find(|mv| {
+                mv.apply(evaluator.cdfg, evaluator.library(), &mut parent.clone())
+                    .is_ok()
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn patched_contexts_share_unchanged_site_lists_and_rebinding_moves_enumerate_afresh() {
+        let (cdfg, trace, config) = gcd_setup(2.0);
+        let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
+        let library = evaluator.library();
+        let mut parent = RtlDesign::initial_parallel(&cdfg, library);
+        let adders = parent.units_of_class(impact_cdfg::OpClass::AddSub);
+        parent.share_fus(adders[0], adders[1]).unwrap();
+        let parent_context = evaluator.context_for(&parent, parent.fingerprint(), None);
+
+        let units: Vec<(FuId, FunctionalUnit)> = parent
+            .functional_units()
+            .map(|(id, unit)| (id, unit.clone()))
+            .collect();
+        let registers: Vec<RegId> = parent.registers().map(|(id, _)| id).collect();
+        let swaps = units
+            .iter()
+            .flat_map(|(fu, unit)| {
+                library
+                    .variants_for(unit.class)
+                    .into_iter()
+                    .filter(|&module| module != unit.module)
+                    .map(|module| Move::SubstituteModule { fu: *fu, module })
+            })
+            .collect();
+        let shares = units
+            .iter()
+            .flat_map(|(keep, a)| {
+                units
+                    .iter()
+                    .filter(move |(remove, b)| remove > keep && a.class == b.class)
+                    .map(|(remove, _)| Move::ShareFus {
+                        keep: *keep,
+                        remove: *remove,
+                    })
+            })
+            .collect();
+        let merges = registers
+            .iter()
+            .flat_map(|&keep| {
+                registers
+                    .iter()
+                    .filter(move |&&remove| remove > keep)
+                    .map(move |&remove| Move::ShareRegisters { keep, remove })
+            })
+            .collect();
+        let split_op = *parent.ops_on(adders[0]).last().unwrap();
+        let shared_moves = [
+            Move::RestructureMux {
+                sink: parent_context.sites[0].sink,
+            },
+            first_applicable(&evaluator, &parent, swaps),
+        ];
+        let fresh_moves = [
+            first_applicable(&evaluator, &parent, shares),
+            Move::SplitFu {
+                fu: adders[0],
+                op: split_op,
+            },
+            first_applicable(&evaluator, &parent, merges),
+        ];
+
+        for (mv, shares_sites) in shared_moves
+            .iter()
+            .map(|mv| (mv, true))
+            .chain(fresh_moves.iter().map(|mv| (mv, false)))
+        {
+            let mut candidate = parent.clone();
+            let delta = mv.apply(&cdfg, library, &mut candidate).unwrap();
+            let patched = evaluator.patch_context(&parent_context, &parent, &candidate, &delta);
+            let rebuilt = evaluator.build_context(&candidate);
+            assert_eq!(
+                Arc::ptr_eq(&patched.sites, &parent_context.sites),
+                shares_sites,
+                "{mv:?}"
+            );
+            assert_eq!(*patched.sites, evaluator.candidate_sites(&candidate));
+            assert_eq!(
+                impact_codec::encode_to_vec(&patched),
+                impact_codec::encode_to_vec(&rebuilt),
+                "patched context of {mv:?} must equal a full rebuild"
+            );
+        }
     }
 }

@@ -255,7 +255,9 @@ impl RegStatsKey {
 }
 
 impl MuxStatsKey {
-    pub(crate) fn of(
+    /// The key the session stores a site's statistics under, for the given
+    /// tree construction.
+    pub fn of(
         workload: WorkloadId,
         design: &RtlDesign,
         site: &MuxSite,

@@ -204,6 +204,19 @@ impl<'a> RtTraces<'a> {
     /// (the fraction of the site's traffic routed through it), ready for
     /// [`impact_rtl::MuxTree`] construction.
     pub fn mux_source_stats(&self, site: &MuxSite) -> Vec<MuxSource> {
+        self.mux_source_stats_with(site, |key| self.signal_activity(key))
+    }
+
+    /// [`Self::mux_source_stats`] with each source's activity supplied by
+    /// the caller, so an evaluator can serve it from memoized unit/register
+    /// statistics instead of re-merging the sources' event streams. The
+    /// callback must agree with [`Self::signal_activity`] for the result to
+    /// match.
+    pub fn mux_source_stats_with(
+        &self,
+        site: &MuxSite,
+        mut activity: impl FnMut(SignalKey) -> f64,
+    ) -> Vec<MuxSource> {
         let counts: Vec<f64> = site
             .sources
             .iter()
@@ -224,11 +237,7 @@ impl<'a> RtTraces<'a> {
                 } else {
                     1.0 / site.sources.len() as f64
                 };
-                MuxSource::new(
-                    &signal_label(src.key),
-                    self.signal_activity(src.key),
-                    probability,
-                )
+                MuxSource::new(&signal_label(src.key), activity(src.key), probability)
             })
             .collect()
     }
@@ -521,6 +530,15 @@ mod tests {
             let stats = rt.register_stats(reg);
             assert_eq!(stats.activity, rt.register_activity(reg));
             assert_eq!(stats.writes_per_pass, rt.register_writes_per_pass(reg));
+        }
+        // Mux sources fed from the combined statistics match the raw path.
+        for site in design.mux_sites(&cdfg) {
+            let fed = rt.mux_source_stats_with(&site, |key| match key {
+                SignalKey::Register(reg) => rt.register_stats(reg).activity,
+                SignalKey::FuOutput(fu) => rt.fu_stats(fu).output_activity,
+                SignalKey::Constant(_) => 0.0,
+            });
+            assert_eq!(fed, rt.mux_source_stats(&site));
         }
     }
 
